@@ -20,7 +20,7 @@ from pyspark.sql import functions as F
 from repro.video.costmodel import C, CostReport
 from repro.video.decoder import decode
 from repro.video.detector import detect
-from repro.video.tracker import track_objects
+from repro.video.tracker import charge_tracking, track_objects
 
 __all__ = ["run_otif", "OTIF_TRAINING_MS"]
 
@@ -47,17 +47,7 @@ def run_otif(
     # Reduced-rate tracking: every k-th frame only.
     sampled = dets.filter(F.col("frame_idx") % track_every == 0)
     tracked = track_objects(sampled, variant="strongsort").persist()
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"), F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
-    cost.add(
-        "track", nf,
-        nf * C.TRACK_BASE["strongsort"] + sn * C.TRACK_OBJ["strongsort"]
-        + sn3 * C.TRACK_HUNG,
-    )
+    nf, _ = charge_tracking(tracked, cost, "strongsort")
     counts = {"frames_total": n_frames, "frames_detected": frames_with,
               "frames_tracked": nf}
     return tracked, cost, counts

@@ -5,79 +5,55 @@ the drone's GPS+altitude — trivial for a top-down camera) and tracks
 (plain SORT) every frame. §7.1.5's comparison keeps the *same* three ML
 functions on both sides and lets Spatialyze add only the Road Visibility
 Pruner; the measured speedup is therefore exactly the RVP's frame
-pruning. ``run_skyquery`` is the baseline (no pruning);
-``run_spatialyze_with_skyquery_models`` is the Spatialyze side with the
-same models (YOLOv3 cost, SORT tracker, per-object homography 3D).
+pruning. Both sides run Spatialyze's video processor on Q10's plan with
+the SORT tracker and geometry 3D (the homography: top-down camera rays
+hit z=0), re-priced at SkyQuery's model costs. ``run_skyquery`` is the
+baseline (no pruning); ``run_spatialyze_with_skyquery_models`` adds the
+Road Visibility Pruner.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.geom3d import estimate_3d_geometry
-from repro.core.road_visibility import prune_frames
+from repro.core.pipeline import run_video_processor
+from repro.core.planner import plan_workflow
+from repro.core.queries import query
 from repro.video.costmodel import C, CostReport
-from repro.video.decoder import decode
-from repro.video.detector import detect
-from repro.video.tracker import track_objects
+from repro.world.datasets import Dataset
 
 __all__ = ["run_skyquery", "run_spatialyze_with_skyquery_models"]
 
-
-def _tracked_cost(tracked: DataFrame, cost: CostReport) -> None:
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"), F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
-    cost.add(
-        "track", nf,
-        nf * C.TRACK_BASE["sort"] + sn * C.TRACK_OBJ["sort"] + sn3 * C.TRACK_HUNG,
-    )
+# Spatialyze's detector and 3D entries, re-priced as SkyQuery's models.
+_SKYQUERY_MODELS = {"yolo": ("yolov3", C.YOLOV3), "geom3d": ("sky3d", C.SKYQUERY_3D_OBJ)}
 
 
-def _pipeline(frames: DataFrame, gt: DataFrame, cost: CostReport) -> DataFrame:
-    """Shared detector→3D→SORT chain with SkyQuery's model costs."""
-    n_frames = frames.count()
-    cost.add("yolov3", n_frames, n_frames * C.YOLOV3)
-    dets = detect(frames, gt).persist()
-    n_dets = dets.count()
-    # Homography ground projection: same geometry path (top-down camera
-    # rays hit z=0), charged at SkyQuery's per-object cost.
-    d3 = estimate_3d_geometry(dets).persist()
-    cost.add("sky3d", n_dets, n_dets * C.SKYQUERY_3D_OBJ)
-    tracked = track_objects(d3, variant="sort").persist()
-    _tracked_cost(tracked, cost)
-    return tracked
-
-
-def run_skyquery(cameras: DataFrame, gt: DataFrame) -> tuple[DataFrame, CostReport, dict]:
-    """The SkyQuery pipeline: every frame, no pruning."""
+def _run(
+    spark: SparkSession, ds: Dataset, optimizations: set[str]
+) -> tuple[DataFrame, CostReport, dict]:
+    plan = plan_workflow(query("Q10"), optimizations=optimizations, tracker_variant="sort")
+    cams, gt, road = ds.tables(spark)
+    vp = run_video_processor(cams, gt, road, plan, fps=ds.fps, road_pdf=ds.road.df)
     cost = CostReport()
-    frames = decode(cameras)
-    n_frames = frames.count()
-    cost.add("decode", n_frames, n_frames * C.DECODE)
-    tracked = _pipeline(frames, gt, cost)
-    return tracked, cost, {"frames_total": n_frames, "frames_processed": n_frames}
+    for op, (count, ms) in vp.cost.entries.items():
+        if op in _SKYQUERY_MODELS:
+            op, unit = _SKYQUERY_MODELS[op]
+            ms = count * unit
+        cost.add(op, count, ms)
+    counts = {
+        "frames_total": vp.counts["frames_total"],
+        "frames_processed": vp.counts["frames_after_rvp"],
+    }
+    return vp.objects, cost, counts
+
+
+def run_skyquery(spark: SparkSession, ds: Dataset) -> tuple[DataFrame, CostReport, dict]:
+    """The SkyQuery pipeline: every frame, no pruning."""
+    return _run(spark, ds, {"geom3d"})
 
 
 def run_spatialyze_with_skyquery_models(
-    cameras: DataFrame,
-    gt: DataFrame,
-    road: DataFrame,
-    *,
-    geo_types: set[str] = frozenset({"bikeLane"}),
-    distance: float = 50.0,
+    spark: SparkSession, ds: Dataset
 ) -> tuple[DataFrame, CostReport, dict]:
     """Spatialyze's video processor with SkyQuery's ML functions: only
     the Road Visibility Pruner differs (§7.1.5)."""
-    cost = CostReport()
-    frames = decode(cameras)
-    n_frames = frames.count()
-    cost.add("decode", n_frames, n_frames * C.DECODE)
-    kept = prune_frames(frames, road, set(geo_types), distance).persist()
-    n_kept = kept.count()
-    cost.add("rvp", n_frames, n_frames * C.RVP_FRAME)
-    tracked = _pipeline(kept, gt, cost)
-    return tracked, cost, {"frames_total": n_frames, "frames_processed": n_kept}
+    return _run(spark, ds, {"rvp", "geom3d"})

@@ -21,11 +21,11 @@ from pyspark.sql import functions as F
 
 from repro.core.predicates import Predicate
 from repro.core.query_engine import compile_filter, movable_objects
-from repro.video.costmodel import C, CostReport, tracker_frame_cost
+from repro.video.costmodel import C, CostReport
 from repro.video.decoder import decode
 from repro.video.depth import estimate_3d_depth
 from repro.video.detector import detect
-from repro.video.tracker import track_objects
+from repro.video.tracker import charge_tracking, track_objects
 
 __all__ = ["run_viva", "resample_fps", "PLAN_SEARCH_MS"]
 
@@ -63,16 +63,7 @@ def run_viva(
     cost.add("depth", frames_with, frames_with * C.DEPTH * lowres)
     # DeepSORT over ALL object types (no type pruner).
     tracked = track_objects(d3, variant="deepsort").persist()
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"), F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
-    cost.add(
-        "track", nf,
-        nf * C.TRACK_BASE["deepsort"] + sn * C.TRACK_OBJ["deepsort"] + sn3 * C.TRACK_HUNG,
-    )
+    charge_tracking(tracked, cost, "deepsort")
     objects = movable_objects(tracked, fps=fps)
     n_rows = objects.count()
     cost.add("query_engine", n_rows, n_rows * C.QUERY_ROW)

@@ -25,16 +25,19 @@ from repro.video.costmodel import C, CostReport
 from repro.video.decoder import decode
 from repro.video.depth import estimate_3d_depth
 from repro.video.detector import detect
-from repro.video.tracker import track_objects
+from repro.video.tracker import charge_tracking, track_objects
 
 __all__ = ["VPResult", "run_video_processor"]
 
 
 @dataclass
 class VPResult:
-    """Tracked, 3D-located detections + modeled cost + stage counts."""
+    """Tracked, 3D-located detections + the frames that passed the Road
+    Visibility Pruner (all decoded frames if it is not in the plan) +
+    modeled cost + stage counts."""
 
     objects: DataFrame
+    frames: DataFrame
     cost: CostReport
     counts: dict[str, float] = field(default_factory=dict)
 
@@ -51,13 +54,13 @@ def run_video_processor(
     plan: Plan,
     *,
     fps: float,
-    road_pdf=None,
+    road_pdf,
     seed: int = 0,
     efs_max_skip: int | None = None,
 ) -> VPResult:
     """Execute ``plan`` over one dataset's frames; returns objects+cost.
 
-    ``road_pdf`` (the pandas road table) is needed only when the Exit
+    ``road_pdf`` (the pandas road table) is read only when the Exit
     Frame Sampler is in the plan (its per-video algorithm carries the
     lane polygons as a broadcast-sized list).
     """
@@ -80,7 +83,8 @@ def run_video_processor(
 
     if not plan.include_detector:
         empty = detect(frames.limit(0), gt.limit(0), seed=seed)
-        return VPResult(empty.withColumn("track_id", F.lit(-1).cast("long")), cost, counts)
+        empty = empty.withColumn("track_id", F.lit(-1).cast("long"))
+        return VPResult(empty, frames, cost, counts)
 
     dets = detect(frames, gt, seed=seed).persist()
     n_dets = dets.count()
@@ -123,11 +127,9 @@ def run_video_processor(
     if not plan.include_tracker:
         # Per-frame objects: each detection is its own Movable Object.
         out = dets3.withColumn("track_id", F.col("det_id"))
-        return VPResult(out, cost, counts)
+        return VPResult(out, frames, cost, counts)
 
     if plan.use_efs:
-        if road_pdf is None:
-            raise ValueError("Exit Frame Sampler needs road_pdf for lane polygons")
         hulls = frame_view_hulls(frames, plan.rvp_distance)
         sampled = sample_frames(
             dets3, hulls, _lane_list(road_pdf), fps=fps, max_skip=efs_max_skip
@@ -140,19 +142,7 @@ def run_video_processor(
         dets_t = dets3
 
     tracked = track_objects(dets_t, variant=plan.tracker_variant).persist()
-    per_frame = tracked.groupBy("video_id", "frame_idx").count()
-    agg = per_frame.agg(
-        F.count("*").alias("nf"),
-        F.sum("count").alias("sn"),
-        F.sum(F.pow("count", 3)).alias("sn3"),
-    ).first()
-    nf, sn, sn3 = (agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0))
-    counts["frames_tracked"] = nf
-    counts["dets_tracked"] = sn
-    v = plan.tracker_variant
-    cost.add(
-        "track",
-        nf,
-        nf * C.TRACK_BASE[v] + sn * C.TRACK_OBJ[v] + sn3 * C.TRACK_HUNG,
+    counts["frames_tracked"], counts["dets_tracked"] = charge_tracking(
+        tracked, cost, plan.tracker_variant
     )
-    return VPResult(tracked, cost, counts)
+    return VPResult(tracked, frames, cost, counts)

@@ -28,7 +28,7 @@ from repro.core.planner import ALL_OPTIMIZATIONS, Plan, plan_workflow
 from repro.core.predicates import And, Predicate
 from repro.core.query_engine import combination_count, compile_filter, movable_objects
 from repro.video.costmodel import C, CostReport
-from repro.world.datasets import ROAD_SCHEMA, Dataset
+from repro.world.datasets import Dataset, spark_tables
 from repro.world.roadnetwork import RoadNetwork
 
 __all__ = ["GeospatialVideo", "World"]
@@ -64,7 +64,6 @@ class World:
         self._videos: list[GeospatialVideo] = []
         self._preds: list[Predicate] = []
         self._vp: VPResult | None = None
-        self._plan: Plan | None = None
 
     # ------------------------------------------------------------ build
     def add_geog_constructs(self, road: RoadNetwork) -> "World":
@@ -103,22 +102,14 @@ class World:
 
     # ------------------------------------------------------------ internals
     def _tables(self) -> tuple[DataFrame, DataFrame, DataFrame]:
+        assert self._road is not None, "add_geog_constructs() first"
         cams = pd.concat([v.cameras for v in self._videos], ignore_index=True)
         gt = pd.concat([v.content for v in self._videos], ignore_index=True)
-        assert self._road is not None, "add_geog_constructs() first"
-        road = self.spark.createDataFrame(self._road.df.to_dict("records"), schema=ROAD_SCHEMA)
-        return (
-            self.spark.createDataFrame(cams),
-            self.spark.createDataFrame(gt),
-            road,
-        )
+        return spark_tables(self.spark, self._road, cams, gt)
 
     def execute(self) -> tuple[DataFrame, CostReport]:
         """Run all four stages; returns (query result, total cost)."""
         pred = self.predicate
-        self._plan = plan_workflow(
-            pred, optimizations=self.optimizations, tracker_variant=self.tracker_variant
-        )
         cams, gt, road = self._tables()
         cost = CostReport()
         # ① Data Integrator: road tables + frame-by-frame video x camera join.
@@ -128,7 +119,7 @@ class World:
                  n_constructs * C.INTEGRATE_CONSTRUCT + n_frames * C.INTEGRATE_FRAME)
         # ② Video Processor.
         vp = run_video_processor(
-            cams, gt, road, self._plan, fps=self.fps, road_pdf=self._road.df, seed=self.seed
+            cams, gt, road, self.plan, fps=self.fps, road_pdf=self._road.df, seed=self.seed
         )
         self._vp = vp
         cost.merge(vp.cost)
@@ -159,13 +150,12 @@ class World:
 
     @property
     def plan(self) -> Plan:
-        if self._plan is None:
-            self._plan = plan_workflow(
-                self.predicate,
-                optimizations=self.optimizations,
-                tracker_variant=self.tracker_variant,
-            )
-        return self._plan
+        """The plan for the conjunction of every filter so far."""
+        return plan_workflow(
+            self.predicate,
+            optimizations=self.optimizations,
+            tracker_variant=self.tracker_variant,
+        )
 
     @property
     def vp_result(self) -> VPResult:

@@ -7,10 +7,8 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.baselines.eva import EvaSession
 from repro.baselines.nuscenes_devkit import MaterializationLimit, run_devkit_query
@@ -18,11 +16,11 @@ from repro.baselines.otif import run_otif
 from repro.baselines.skyquery import run_skyquery, run_spatialyze_with_skyquery_models
 from repro.baselines.viva import run_viva
 from repro.core.pipeline import run_video_processor
-from repro.core.planner import ALL_OPTIMIZATIONS, plan_workflow
+from repro.core.planner import plan_workflow
 from repro.core.queries import query
 from repro.core.query_engine import compile_filter, movable_objects
 from repro.core.sflow import World
-from repro.experiments import SETUPS, _dataset_sdfs, fps_of, run_setup
+from repro.experiments import fps_of, run_setup
 from repro.metrics.f1 import skip_f1, skip_runtime_ratio
 from repro.video.costmodel import C, CostReport
 from repro.world.datasets import Dataset
@@ -35,8 +33,7 @@ __all__ = [
 
 def eva_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T2: Q5-Q8 modeled runtime, Spatialyze vs EVA run in series."""
-    cams, gt, road = _dataset_sdfs(spark, ds)
-    eva = EvaSession(cams, gt, road)
+    eva = EvaSession(*ds.tables(spark))
     rows = []
     for i, q in enumerate(["Q5", "Q6", "Q7", "Q8"]):
         _, eva_cost = eva.run_query(query(q), min_count=3 if q == "Q8" else None)
@@ -70,17 +67,14 @@ def viva_comparison(spark: SparkSession, ds: Dataset, *, target_fps: float = 1.0
     cams_pdf = ds.cameras[ds.cameras["frame_idx"] % k == 0].reset_index(drop=True)
     gt_pdf = ds.gt[ds.gt["frame_idx"] % k == 0].reset_index(drop=True)
     sub = Dataset(ds.name, ds.road, cams_pdf, gt_pdf, target_fps)
-    cams, gt, road = _dataset_sdfs(spark, sub)
+    cams, gt, road = sub.tables(spark)
     pred = query("Q9")
     # VIVA side.
     _, viva_cost = run_viva(cams, gt, road, pred, fps=target_fps)
     # Spatialyze side: same models at the same resolution, DeepSORT.
-    plan = plan_workflow(pred, tracker_variant="deepsort")
-    vp = run_video_processor(cams, gt, road, plan, fps=target_fps, road_pdf=sub.road.df)
-    objects = movable_objects(vp.objects, fps=target_fps)
-    n_rows = objects.count()
-    sp_cost = _scale_lowres(vp.cost).add("query_engine", n_rows, n_rows * C.QUERY_ROW)
-    compile_filter(objects, cams, road, pred).count()
+    w = World.from_dataset(spark, sub, tracker_variant="deepsort").filter(pred)
+    _, cost = w.execute()
+    sp_cost = _scale_lowres(cost)
     return pd.DataFrame(
         [
             {
@@ -101,7 +95,7 @@ def devkit_comparison(
     Both sides query the same annotations (the SB video processor's
     output), so this isolates the query-engine stage as §7.1.3 does.
     """
-    cams, gt, road = _dataset_sdfs(spark, ds)
+    cams, gt, road = ds.tables(spark)
     # The devkit queries the FULL annotation store (every object type —
     # §7.1.3 compares on already-ingested annotations), so the shared
     # object table is built without the Object Type Pruner; type filters
@@ -142,7 +136,7 @@ def devkit_comparison(
 
 def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T5: object-tracking FPS, OTIF vs Spatialyze-with-all-opts (Q1-Q4)."""
-    cams, gt, _ = _dataset_sdfs(spark, ds)
+    cams, gt, _ = ds.tables(spark)
     _, otif_cost, otif_counts = run_otif(cams, gt)
     rows = [
         {
@@ -165,9 +159,8 @@ def otif_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
 
 def skyquery_comparison(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
     """T6: Q10 FPS on the aerial dataset, same ML sims on both sides."""
-    cams, gt, road = _dataset_sdfs(spark, ds)
-    _, sq_cost, sq_counts = run_skyquery(cams, gt)
-    _, sp_cost, sp_counts = run_spatialyze_with_skyquery_models(cams, gt, road)
+    _, sq_cost, sq_counts = run_skyquery(spark, ds)
+    _, sp_cost, sp_counts = run_spatialyze_with_skyquery_models(spark, ds)
     return pd.DataFrame(
         [
             {"system": "SkyQuery", "fps": fps_of(sq_cost, int(sq_counts["frames_total"])),

@@ -20,11 +20,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.video.costmodel import C, CostReport
 from repro.video.hungarian import hungarian
 
-__all__ = ["track_pandas", "track_objects", "VARIANTS"]
+__all__ = ["track_pandas", "track_objects", "charge_tracking", "VARIANTS"]
 
 # Appearance weight lambda per variant; SORT has no appearance branch.
 VARIANTS = {"strongsort": 0.5, "deepsort": 0.4, "sort": 0.0}
@@ -141,3 +143,25 @@ def track_objects(
         return track_pandas(pdf, variant=variant, max_age=max_age)
 
     return dets.groupBy("video_id").applyInPandas(run, schema=schema)
+
+
+def charge_tracking(tracked: DataFrame, cost: CostReport, variant: str) -> tuple[int, float]:
+    """Charge the tracker's modeled cost for ``tracked`` to ``cost``.
+
+    Per frame the tracker pays a base cost, a per-object cost and an
+    n^3 Hungarian term, so the charge needs the frame count and the sums
+    of n and n^3 over frames (one Spark action). Returns (frames, detections).
+    """
+    per_frame = tracked.groupBy("video_id", "frame_idx").count()
+    agg = per_frame.agg(
+        F.count("*").alias("nf"),
+        F.sum("count").alias("sn"),
+        F.sum(F.pow("count", 3)).alias("sn3"),
+    ).first()
+    nf, sn, sn3 = agg["nf"] or 0, float(agg["sn"] or 0), float(agg["sn3"] or 0)
+    cost.add(
+        "track",
+        nf,
+        nf * C.TRACK_BASE[variant] + sn * C.TRACK_OBJ[variant] + sn3 * C.TRACK_HUNG,
+    )
+    return nf, sn

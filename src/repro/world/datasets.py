@@ -8,8 +8,9 @@
   flying over roads with bike lanes (replaces SkyQuery's drone video).
 
 Each returns a :class:`Dataset` bundling the road network and the
-``cameras`` / ``gt`` pandas tables, with ``*_sdf`` helpers that convert
-to Spark DataFrames with explicit schemas.
+``cameras`` / ``gt`` pandas tables. :func:`spark_tables` is the one
+conversion of such tables to Spark DataFrames (the road table with
+``ROAD_SCHEMA``).
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ from repro.world.agents import simulate_car_path, simulate_objects
 from repro.world.roadnetwork import RoadNetwork, grid_road_network
 from repro.world.scenes import NUSC_INTRINSIC, camera_table, waypoint_path
 
-__all__ = ["Dataset", "nuscenes_lite", "jackson_lite", "skyquery_lite", "road_schema"]
+__all__ = [
+    "Dataset", "ROAD_SCHEMA", "jackson_lite", "nuscenes_lite", "skyquery_lite", "spark_tables",
+]
 
 ROAD_SCHEMA = T.StructType(
     [
@@ -39,8 +42,15 @@ ROAD_SCHEMA = T.StructType(
 )
 
 
-def road_schema() -> T.StructType:
-    return ROAD_SCHEMA
+def spark_tables(
+    spark: SparkSession, road: RoadNetwork, cameras: pd.DataFrame, gt: pd.DataFrame
+) -> tuple[DataFrame, DataFrame, DataFrame]:
+    """The (cameras, gt, road) Spark tables every video processor reads."""
+    return (
+        spark.createDataFrame(cameras),
+        spark.createDataFrame(gt),
+        spark.createDataFrame(road.df.to_dict("records"), schema=ROAD_SCHEMA),
+    )
 
 
 @dataclass
@@ -53,15 +63,8 @@ class Dataset:
     gt: pd.DataFrame
     fps: float
 
-    def road_sdf(self, spark: SparkSession) -> DataFrame:
-        rows = self.road.df.to_dict("records")
-        return spark.createDataFrame(rows, schema=ROAD_SCHEMA)
-
-    def cameras_sdf(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.cameras)
-
-    def gt_sdf(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.gt)
+    def tables(self, spark: SparkSession) -> tuple[DataFrame, DataFrame, DataFrame]:
+        return spark_tables(spark, self.road, self.cameras, self.gt)
 
     @property
     def n_frames(self) -> int:

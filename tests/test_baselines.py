@@ -21,11 +21,7 @@ def tiny_ds():
 
 @pytest.fixture(scope="module")
 def tiny_sdfs(spark, tiny_ds):
-    return (
-        spark.createDataFrame(tiny_ds.cameras),
-        spark.createDataFrame(tiny_ds.gt),
-        spark.createDataFrame(tiny_ds.road.df.to_dict("records"), schema=ROAD_SCHEMA),
-    )
+    return tiny_ds.tables(spark)
 
 
 # ---------------------------------------------------------------- EVA
@@ -180,28 +176,24 @@ def test_otif_reduced_rate_and_gating(tiny_sdfs, tiny_ds):
 
 
 @pytest.fixture(scope="module")
-def sky(spark):
+def sky():
     # 420 frames: covers the bike-lane leg AND part of the block-interior
     # leg (which starts ~frame 240) so the RVP has frames to prune.
-    ds = skyquery_lite(seed=0, n_frames=420)
-    return ds, (
-        spark.createDataFrame(ds.cameras),
-        spark.createDataFrame(ds.gt),
-        spark.createDataFrame(ds.road.df.to_dict("records"), schema=ROAD_SCHEMA),
-    )
+    return skyquery_lite(seed=0, n_frames=420)
 
 
-def test_skyquery_processes_all_frames(sky):
-    ds, (cams, gt, road) = sky
-    _, cost, counts = run_skyquery(cams, gt)
+def test_skyquery_processes_all_frames(spark, sky):
+    _, cost, counts = run_skyquery(spark, sky)
     assert counts["frames_processed"] == counts["frames_total"] == 420
     assert cost.ms("yolov3") > 0
+    # SkyQuery's models replace Spatialyze's: no YOLOv5 or G3D entries.
+    assert "yolo" not in cost.entries and "geom3d" not in cost.entries
+    assert cost.count("sky3d") > 0
 
 
-def test_spatialyze_prunes_aerial_frames(sky):
-    ds, (cams, gt, road) = sky
-    _, cost_sq, counts_sq = run_skyquery(cams, gt)
-    _, cost_sp, counts_sp = run_spatialyze_with_skyquery_models(cams, gt, road)
+def test_spatialyze_prunes_aerial_frames(spark, sky):
+    _, cost_sq, counts_sq = run_skyquery(spark, sky)
+    _, cost_sp, counts_sp = run_spatialyze_with_skyquery_models(spark, sky)
     # The drone's block-interior leg has no bike lane in view: pruned.
     assert counts_sp["frames_processed"] < counts_sp["frames_total"]
     assert cost_sp.total_ms < cost_sq.total_ms  # the §7.1.5 18 % speedup

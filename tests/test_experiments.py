@@ -1,7 +1,9 @@
 """Integration tests for the §7 experiment harness (T2-T10 plumbing)."""
-import pandas as pd
 import pytest
 
+from repro.core.planner import plan_workflow
+from repro.core.queries import query
+from repro.core.road_visibility import prune_frames
 from repro.experiments import (
     SETUPS,
     ablation_accuracy_table,
@@ -19,6 +21,7 @@ from repro.experiments_compare import (
     viva_comparison,
 )
 from repro.video.costmodel import CostReport
+from repro.video.decoder import decode
 from repro.world.datasets import jackson_lite, nuscenes_lite, skyquery_lite
 
 
@@ -49,6 +52,19 @@ def test_run_setup_counts_and_cost(q2_runs):
     assert s6.cost.ms("rvp") > 0
     assert s6.cost.ms("geom3d") > 0
     assert s6.counts["frames_after_rvp"] <= s6.counts["frames_total"]
+
+
+@pytest.mark.parametrize("setup", ["S1", "S6"])
+def test_rvp_frames_match_a_fresh_prune(spark, ds, q2_runs, setup):
+    # run_setup reports the frames the video processor's RVP kept; they
+    # must be exactly the frames a standalone prune keeps.
+    plan = plan_workflow(query("Q2"), optimizations=SETUPS[setup])
+    cams, _, road = ds.tables(spark)
+    want = prune_frames(decode(cams), road, plan.rvp_types, plan.rvp_distance)
+    want = {(r.video_id, r.frame_idx) for r in want.select("video_id", "frame_idx").collect()}
+    got = q2_runs[("Q2", setup)].rvp_frames
+    assert len(got) == len(want) > 0
+    assert set(got.itertuples(index=False, name=None)) == want
 
 
 def test_optimized_cheaper_than_baseline(q2_runs):

@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import predicates as P
 from repro.core.queries import query
 from repro.core.sflow import GeospatialVideo, World
 from repro.world.roadnetwork import grid_road_network
@@ -189,7 +190,8 @@ def test_cost_report_structure(spark, road):
     _, cost, w = run(spark, road, objs, query("Q6"))
     for op in ("integrate", "decode", "rvp", "yolo", "otp", "geom3d", "query_engine"):
         assert op in cost.entries, op
-    assert "depth" not in cost.entries or cost.ms("depth") == 0 or True
+    # Geometry 3D charges depth only on frames with a fallback object.
+    assert cost.count("depth") == w.vp_result.counts["depth_fallback_frames"]
     assert cost.total_ms > 0
 
 
@@ -208,3 +210,11 @@ def test_baseline_vs_optimized_equivalent_results(spark, road):
     got_opt = set(t_opt.merge(res_opt, left_on="track_id", right_on="oid")["gt_oid"])
     got_base = set(t_base.merge(res_base, left_on="track_id", right_on="oid")["gt_oid"])
     assert got_opt == got_base == {1, 2}
+
+
+def test_plan_follows_later_filters(spark, road):
+    # Reading the plan must not pin it: a later filter() re-plans.
+    w = World(spark).add_geog_constructs(road).filter(query("Q5"))
+    assert not w.plan.include_tracker
+    w.filter(P.turn_left(P.obj(0)))
+    assert w.plan.include_tracker

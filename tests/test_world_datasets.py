@@ -105,9 +105,7 @@ def test_skyquery_lite_aerial():
 
 def test_dataset_spark_conversion(spark):
     d = nuscenes_lite(1, seed=0, n_frames=12)
-    road = d.road_sdf(spark)
-    cams = d.cameras_sdf(spark)
-    gt = d.gt_sdf(spark)
+    cams, gt, road = d.tables(spark)
     assert road.count() == len(d.road.df)
     assert cams.count() == 12
     assert gt.count() == len(d.gt)
